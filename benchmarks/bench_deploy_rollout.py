@@ -1,14 +1,14 @@
 """Rollout perf — what a certified fleet-wide deployment costs.
 
 The transitional-safety verifier is the rollout's only pre-RPC cost
-that scales with fabric size (union graph builds + verification + wave
-boundary lints), so this benchmark pins its stage timings next to the
-planner's: a leaf-spine link-down is re-planned incrementally on a
-16-ToR Clos, then the resulting diff is rolled onto a fault-free agent
-fleet and, separately, swept through seeded chaos schedules. The
-fault-free run's stage split (``plan-waves`` / ``certify`` / ``execute``
-/ ``verify-final``) is recorded into ``BENCH_pipeline.json`` as the
-``deploy`` entry.
+that scales with fabric size (one union graph build and verification,
+plus one per-switch lint per distinct table), so this benchmark pins
+its stage timings next to the planner's: a leaf-spine link-down is
+re-planned incrementally on a 16-ToR Clos, then the resulting diff is
+rolled onto a fault-free agent fleet and, separately, swept through
+seeded chaos schedules. The fault-free run's stage split
+(``plan-waves`` / ``certify`` / ``execute`` / ``verify-final``) is
+recorded into ``BENCH_pipeline.json`` as the ``deploy`` entry.
 """
 
 import time

@@ -28,7 +28,8 @@ target plan and drives the transition over a lossy management network:
    superseded wave batches bounce off the agents' stale-epoch guard.
 5. **Verify the outcome.** Final tables are read from the agents (ground
    truth, not the orchestrator's beliefs), compared against the target,
-   and linted.
+   and linted — by the certificate's union proof when every table is a
+   certified old or new one, by the full linter otherwise.
 
 All delays are simulated time: the orchestrator never sleeps, so chaos
 sweeps of hundreds of schedules run in seconds while still exercising
@@ -60,7 +61,7 @@ from repro.deploy.verifier import (
     transition_queue_map,
 )
 from repro.exceptions import DeploymentError
-from repro.lint import lint_tables
+from repro.lint import Diagnostic, lint_tables
 from repro.obs.events import (
     EV_DEPLOY_BREAKER_CLOSE,
     EV_DEPLOY_BREAKER_OPEN,
@@ -634,9 +635,26 @@ class RolloutOrchestrator:
             for switch, agent in self.agents.items():
                 if agent.rules:
                     final[switch] = agent.table()
-            queue_map = transition_queue_map(self.old, self.new)
-            lint = lint_tables(self.topo, final, queue_map)
-            report.final_lint_ok = lint.ok
+            # A certified table stays lint-clean in any fleet made of
+            # certified tables (see TransitionCertificate.tables_certified);
+            # anything else gets the full linter.
+            cert = report.certificate
+            proven = (
+                cert is not None
+                and cert.tables_certified
+                and all(
+                    self._is_certified(switch, table.rules)
+                    for switch, table in final.items()
+                )
+            )
+            errors: List[Diagnostic] = (
+                []
+                if proven
+                else lint_tables(
+                    self.topo, final, transition_queue_map(self.old, self.new)
+                ).errors
+            )
+            report.final_lint_ok = not errors
             expected = (
                 dict(self.old)
                 if report.outcome == ROLLED_BACK
@@ -651,11 +669,11 @@ class RolloutOrchestrator:
                 s: t for s, t in final.items() if s not in set(report.quarantined)
             }
             report.final_matches_target = tables_equal(observed, expected)
-            if not lint.ok:
+            if errors:
                 report.outcome = FAILED
                 report.detail = (
                     "final tables fail lint: "
-                    + "; ".join(d.render() for d in lint.errors[:3])
+                    + "; ".join(d.render() for d in errors[:3])
                 )
             elif not report.final_matches_target and report.outcome in (
                 CONVERGED,
@@ -669,6 +687,13 @@ class RolloutOrchestrator:
         report.virtual_time = self._clock
         report.timings = timer.timings()
         self._publish_outcome(report)
+
+    def _is_certified(self, switch: str, rules: Dict[MatchKey, int]) -> bool:
+        """Does ``switch`` hold exactly its old or its new table?"""
+        return any(
+            switch in tables and tables[switch].rules == rules
+            for tables in (self.old, self.new)
+        )
 
     def _publish_outcome(self, report: RolloutReport) -> None:
         if self.telemetry is None:

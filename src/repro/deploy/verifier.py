@@ -25,7 +25,21 @@ The proof leans on one structural fact:
 Hence: if the **union graph** — old edges ∪ new edges across the
 relevant switches — certifies R1/R2, then *every* reachable transitional
 state does, including arbitrary per-key partial batches, reorderings,
-and stragglers. :func:`certify_rollout` checks
+and stragglers. :func:`certify_rollout` therefore tries a one-shot
+**union proof** first:
+
+1. build the global union graph once — every old table plus the new
+   table of each switch whose table changes — and verify R1/R2;
+2. run the linter's per-switch checks (:func:`repro.lint.lint_switch`:
+   T002–T004, S1xx, B301) once per distinct table, unless
+   ``lint_boundaries=False``.
+
+When both pass, every boundary, wave and global verdict is clean: each
+mixed state is a subgraph of the union (T001, R1/R2), every table it
+holds was linted (the per-switch codes), the R-family only warns, and
+B302 cannot fire because :func:`transition_queue_map` makes every tag
+either plan uses lossless. Only when the proof does not hold does the
+per-boundary diagnosis run, checking
 
 - the **global union** (old ∪ new everywhere): when safe, any
   old/new/partial mixture whatsoever is safe, which is what lets the
@@ -47,11 +61,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.pipeline import QueueMap
-from repro.core.rules import RuleTable
+from repro.core.rules import RuleTable, rules_to_tagged_graph
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG, TaggedGraph
 from repro.core.verification import VerificationReport, verify_tagged_graph
-from repro.exceptions import ReproError
-from repro.lint import lint_tables
+from repro.exceptions import ReproError, VerificationError
+from repro.lint import DeploymentArtifact, lint_switch, lint_tables
 from repro.topology.base import Topology
 
 Tables = Dict[str, RuleTable]
@@ -95,8 +109,6 @@ def _graph_or_error(
     A tag-decreasing rule makes graph reconstruction raise — that *is*
     an R2 violation, reported as such rather than propagated.
     """
-    from repro.core.rules import rules_to_tagged_graph
-
     try:
         return rules_to_tagged_graph(topo, tables), None
     except ReproError as exc:
@@ -119,8 +131,39 @@ def _verdict(report: VerificationReport) -> Optional[str]:
     if report.decreasing_edge is not None:
         src, dst = report.decreasing_edge
         return f"R2 violated: edge {src} -> {dst} decreases the tag"
-    assert report.tag_cycle is not None
+    if report.tag_cycle is None:
+        raise VerificationError(
+            "verification report is unsafe but names no violation"
+        )
     return f"R1 violated: cycle of {len(report.tag_cycle)} nodes"
+
+
+def _union_proof(
+    topo: Topology, old: Tables, new: Tables, lint: bool
+) -> bool:
+    """Does the one-shot union proof hold (see the module docstring)?
+
+    False means "not proven", never "unsafe": any violation, and any
+    error while building or linting, leaves the verdict to the
+    per-boundary diagnosis, which reports it exactly.
+    """
+    changed = {s: t for s, t in new.items() if old.get(s) != t}
+    try:
+        union = _union(
+            [rules_to_tagged_graph(topo, tables) for tables in (old, changed)]
+        )
+        if not verify_tagged_graph(union).deadlock_free:
+            return False
+        if lint:
+            for tables in (old, changed):
+                programs = DeploymentArtifact(topo, tables).ensure_programs()
+                for switch, table in tables.items():
+                    found = lint_switch(topo, switch, table, programs[switch])
+                    if not found.ok:
+                        return False
+    except ReproError:
+        return False
+    return True
 
 
 @dataclass
@@ -147,6 +190,10 @@ class TransitionCertificate:
     #: partial-batch refinements).
     states_covered: int = 0
     switches_touched: int = 0
+    #: The union proof held with the per-switch lint: every table in
+    #: ``old`` and ``new`` is lint-clean on its own and any fleet mixing
+    #: them is R1/R2-safe. Not part of :meth:`to_dict`.
+    tables_certified: bool = False
 
     @property
     def ok(self) -> bool:
@@ -203,12 +250,23 @@ def certify_rollout(
 ) -> TransitionCertificate:
     """Certify every state reachable under ``waves`` ordering.
 
-    ``lint_boundaries=False`` skips the full linter at quiescent
-    boundaries and keeps only the (sound and much faster) union-graph
-    R1/R2 certification — the fuzz harness uses it for throughput.
+    The union proof decides clean transitions in one pass; any other
+    transition gets the per-boundary diagnosis, whose certificate names
+    the first failing boundary or wave. ``lint_boundaries=False`` skips
+    the per-switch and boundary lints and keeps only the (sound and much
+    faster) union-graph R1/R2 certification — the fuzz harness uses it
+    for throughput.
     """
     cert = TransitionCertificate(waves=[list(w) for w in waves])
     cert.switches_touched = sum(len(w) for w in waves)
+    if _union_proof(topo, old, new, lint_boundaries):
+        cert.boundary_errors = [[] for _ in range(len(waves) + 1)]
+        cert.wave_errors = [None for _ in waves]
+        cert.tables_certified = lint_boundaries
+        cert.states_covered = 2 ** min(cert.switches_touched, 62)
+        return cert
+
+    # Per-boundary diagnosis: exact verdicts for the refusal message.
     queue_map = transition_queue_map(old, new)
 
     # Wave-boundary quiescent states: graphs always, full lint optionally.
@@ -218,7 +276,7 @@ def certify_rollout(
     for wave in waves:
         updated = updated | set(wave)
         boundaries.append(set(updated))
-    for k, done in enumerate(boundaries):
+    for done in boundaries:
         tables = mixed_tables(old, new, done)
         graph, graph_error = _graph_or_error(topo, tables)
         boundary_graphs.append(graph)
@@ -233,7 +291,6 @@ def certify_rollout(
             report = lint_tables(topo, tables, queue_map)
             errors.extend(d.render() for d in report.errors)
         cert.boundary_errors.append(errors)
-        del k
 
     # Per-wave unions: cover every in-flight subset (and, via per-key
     # subgraph closure, every partial batch) between two boundaries.
@@ -261,11 +318,11 @@ def certify_rollout(
         cert.global_error = old_error or new_error
     else:
         try:
-            cert.global_error = _verdict(
-                verify_tagged_graph(_union([old_graph, new_graph]))
-            )
+            union = _union([old_graph, new_graph])
         except ReproError as exc:
             cert.global_error = f"R2 violated in global union: {exc}"
+        else:
+            cert.global_error = _verdict(verify_tagged_graph(union))
 
     if cert.covers_stragglers:
         cert.states_covered = 2 ** min(cert.switches_touched, 62)

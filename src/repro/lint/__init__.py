@@ -16,7 +16,14 @@ from repro.lint.diagnostics import (
     Severity,
     make_diagnostic,
 )
-from repro.lint.linter import LintConfig, lint_artifact, lint_plan, lint_tables
+from repro.lint.linter import (
+    LintConfig,
+    SwitchLint,
+    lint_artifact,
+    lint_plan,
+    lint_switch,
+    lint_tables,
+)
 
 __all__ = [
     "CATALOG",
@@ -26,8 +33,10 @@ __all__ = [
     "LintConfig",
     "LintReport",
     "Severity",
+    "SwitchLint",
     "lint_artifact",
     "lint_plan",
+    "lint_switch",
     "lint_tables",
     "make_diagnostic",
 ]

@@ -15,7 +15,7 @@ consulted — and then:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.rules import MatchKey, RuleTable, rules_to_tagged_graph
 from repro.core.tags import INITIAL_TAG, LOSSY_TAG
@@ -24,36 +24,32 @@ from repro.lint.diagnostics import Diagnostic, make_diagnostic
 from repro.topology.base import Topology
 
 
-def _valid_rules(
+def check_rules(
     topo: Topology,
-    tables: Dict[str, RuleTable],
+    switch: str,
+    table: RuleTable,
     diagnostics: List[Diagnostic],
-) -> Dict[str, RuleTable]:
-    """Per-rule validation (T002-T004); returns only the well-formed rules."""
-    clean: Dict[str, RuleTable] = {}
-    for switch in sorted(tables):
-        table = tables[switch]
-        if switch not in topo.nodes or not topo.node(switch).is_switch:
-            diagnostics.append(
-                make_diagnostic(
-                    "T004",
-                    f"rules installed on unknown switch {switch!r}",
-                    switch=switch,
-                )
+) -> Optional[RuleTable]:
+    """T002-T004 on one switch's rules; returns only the well-formed ones.
+
+    ``None`` means the switch itself is unknown (every rule is dropped).
+    """
+    if switch not in topo.nodes or not topo.node(switch).is_switch:
+        diagnostics.append(
+            make_diagnostic(
+                "T004",
+                f"rules installed on unknown switch {switch!r}",
+                switch=switch,
             )
-            continue
-        ports = topo.ports(switch)
-        kept = RuleTable(switch=switch)
-        for key in sorted(table.rules):
-            tag, in_port, out_port = key
-            new_tag = table.rules[key]
-            if not _check_rule(
-                topo, switch, ports, key, new_tag, diagnostics
-            ):
-                continue
+        )
+        return None
+    ports = topo.ports(switch)
+    kept = RuleTable(switch=switch)
+    for key in sorted(table.rules):
+        new_tag = table.rules[key]
+        if _check_rule(topo, switch, ports, key, new_tag, diagnostics):
             kept.rules[key] = new_tag
-        clean[switch] = kept
-    return clean
+    return kept
 
 
 def _check_rule(
@@ -105,12 +101,11 @@ def _check_rule(
     return ok
 
 
-def check_graph(
-    topo: Topology, tables: Dict[str, RuleTable]
+def check_cycles(
+    topo: Topology, clean: Dict[str, RuleTable]
 ) -> Tuple[List[Diagnostic], Dict[str, int]]:
-    """Run the T-family checks; returns (diagnostics, graph stats)."""
+    """T001 on the graph of the well-formed rules; (diagnostics, stats)."""
     diagnostics: List[Diagnostic] = []
-    clean = _valid_rules(topo, tables, diagnostics)
     try:
         graph = rules_to_tagged_graph(topo, clean)
     except TopologyError as exc:  # pragma: no cover - defense in depth
@@ -139,3 +134,17 @@ def check_graph(
         "graph_tags": graph.num_tags,
     }
     return diagnostics, stats
+
+
+def check_graph(
+    topo: Topology, tables: Dict[str, RuleTable]
+) -> Tuple[List[Diagnostic], Dict[str, int]]:
+    """Run the T-family checks; returns (diagnostics, graph stats)."""
+    diagnostics: List[Diagnostic] = []
+    clean: Dict[str, RuleTable] = {}
+    for switch in sorted(tables):
+        kept = check_rules(topo, switch, tables[switch], diagnostics)
+        if kept is not None:
+            clean[switch] = kept
+    cycle_diags, stats = check_cycles(topo, clean)
+    return diagnostics + cycle_diags, stats

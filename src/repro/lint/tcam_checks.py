@@ -241,6 +241,19 @@ def _check_safeguard(
         )
 
 
+def check_program(
+    switch: str,
+    table: RuleTable,
+    program: Sequence[TcamEntry],
+    ports: Set[int],
+    diagnostics: List[Diagnostic],
+) -> None:
+    """S101-S105 on one switch's ordered program."""
+    _check_order(switch, program, diagnostics)
+    _check_roundtrip(switch, table, program, diagnostics)
+    _check_safeguard(switch, program, ports, diagnostics)
+
+
 def check_tcam(
     topo_ports: Dict[str, Set[int]],
     tables: Dict[str, RuleTable],
@@ -248,14 +261,13 @@ def check_tcam(
 ) -> Tuple[List[Diagnostic], Dict[str, int]]:
     """Run the S-family checks on every switch's ordered program."""
     diagnostics: List[Diagnostic] = []
-    total_entries = 0
     for switch in sorted(programs):
-        program = programs[switch]
-        total_entries += len(program)
-        _check_order(switch, program, diagnostics)
-        table = tables.get(switch, RuleTable(switch=switch))
-        _check_roundtrip(switch, table, program, diagnostics)
-        _check_safeguard(
-            switch, program, topo_ports.get(switch, set()), diagnostics
+        check_program(
+            switch,
+            tables.get(switch, RuleTable(switch=switch)),
+            programs[switch],
+            topo_ports.get(switch, set()),
+            diagnostics,
         )
+    total_entries = sum(len(program) for program in programs.values())
     return diagnostics, {"tcam_entries": total_entries}
